@@ -96,16 +96,12 @@ void BM_Mutual_PSN(benchmark::State& state) { RunMutual(state, "@psn."); }
 BENCHMARK(BM_Mutual_BSN)->Arg(64)->Arg(128);
 BENCHMARK(BM_Mutual_PSN)->Arg(64)->Arg(128);
 
-// Parallel fixpoint series (beyond the paper): the all-pairs closure of a
-// random graph — wide per-iteration deltas, the shape the hash-partitioned
-// workers are built for — at 1, 2 and 4 workers. --threads=N overrides
-// the series with a single worker count.
-void BM_TcWide_Parallel(benchmark::State& state) {
+// Wide closure: the all-pairs closure of a random graph, with wide
+// per-iteration deltas (EXPERIMENTS.md, observability overhead).
+void BM_TcWide(benchmark::State& state) {
   int v = static_cast<int>(state.range(0));
-  int threads = bench::ThreadsOr(static_cast<int>(state.range(1)));
   Database db;
   bench::MaybeProfile(&db);
-  db.set_num_threads(threads);
   if (!db.Consult("module tw.\nexport tc(ff).\n@no_rewriting.\n"
                   "tc(X, Y) :- e(X, Y).\n"
                   "tc(X, Y) :- e(X, Z), tc(Z, Y).\nend_module.\n")
@@ -123,21 +119,17 @@ void BM_TcWide_Parallel(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(res->rows.size());
   }
-  state.counters["threads"] = threads;
   state.counters["inserts"] =
       static_cast<double>(db.modules()->last_stats().inserts);
-  bench::MaybeDumpProfile(&db, "TcWide/" + std::to_string(v) + "/t" +
-                                   std::to_string(threads));
+  bench::MaybeDumpProfile(&db, "TcWide/" + std::to_string(v));
 }
-BENCHMARK(BM_TcWide_Parallel)
-    ->Args({96, 1})->Args({96, 2})->Args({96, 4})
-    ->Args({160, 1})->Args({160, 2})->Args({160, 4});
+BENCHMARK(BM_TcWide)->Arg(96)->Arg(160);
 
 }  // namespace
 }  // namespace coral
 
 int main(int argc, char** argv) {
-  coral::bench::ParseThreadsFlag(&argc, argv);
+  coral::bench::ParseHarnessFlags(&argc, argv);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();

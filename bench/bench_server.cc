@@ -154,7 +154,7 @@ BENCHMARK(BM_ServerQuery)
 }  // namespace coral
 
 int main(int argc, char** argv) {
-  coral::bench::ParseThreadsFlag(&argc, argv);
+  coral::bench::ParseHarnessFlags(&argc, argv);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();

@@ -85,32 +85,11 @@ void BM_ShortestPath_NoSelectionBounded(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortestPath_NoSelectionBounded)->Arg(16);
 
-/// Parallel evaluation series (beyond the paper): the with-selection
-/// program at 1, 2 and 4 workers. --threads=N overrides the series.
-void BM_ShortestPath_Parallel(benchmark::State& state) {
-  int v = static_cast<int>(state.range(0));
-  int threads = bench::ThreadsOr(static_cast<int>(state.range(1)));
-  Database db;
-  bench::MaybeProfile(&db);
-  db.set_num_threads(threads);
-  if (!db.Consult(kWithSelection).ok()) return;
-  if (!db.Consult(bench::RandomGraphFacts("edge", v, 4 * v, true)).ok()) {
-    return;
-  }
-  for (auto _ : state) RunQuery(&db, state);
-  bench::MaybeDumpProfile(&db,
-                          "ShortestPath parallel/" + std::to_string(v) +
-                              "/t" + std::to_string(threads));
-  state.counters["threads"] = threads;
-}
-BENCHMARK(BM_ShortestPath_Parallel)
-    ->Args({64, 1})->Args({64, 2})->Args({64, 4});
-
 }  // namespace
 }  // namespace coral
 
 int main(int argc, char** argv) {
-  coral::bench::ParseThreadsFlag(&argc, argv);
+  coral::bench::ParseHarnessFlags(&argc, argv);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();

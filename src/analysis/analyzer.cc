@@ -170,51 +170,6 @@ void CheckAnnotations(const ModuleDecl& mod, DiagnosticList* out) {
         "reordering stays off for this module";
     out->Add(std::move(d));
   }
-  if (mod.parallel && mod.eval_mode == EvalMode::kPipelined) {
-    Diagnostic d;
-    d.severity = DiagSeverity::kError;
-    d.code = diag::kAnnotationConflict;
-    d.module_name = mod.name;
-    d.loc = AnnotationLoc(mod, "parallel");
-    d.message =
-        "@parallel conflicts with @pipelining: pipelined (top-down) "
-        "modules evaluate rules in declaration order and stay sequential";
-    out->Add(std::move(d));
-  }
-  if (mod.parallel && mod.parallel_threads != -1 &&
-      (mod.parallel_threads < 1 || mod.parallel_threads > kMaxParallelThreads)) {
-    Diagnostic d;
-    d.severity = DiagSeverity::kError;
-    d.code = diag::kBadParallelThreads;
-    d.module_name = mod.name;
-    d.loc = AnnotationLoc(mod, "parallel");
-    d.message = "@parallel thread count must be between 1 and " +
-                std::to_string(kMaxParallelThreads) + " (got " +
-                std::to_string(mod.parallel_threads) + ")";
-    out->Add(std::move(d));
-  }
-  // Combinations the engine silently evaluates sequentially (correct but
-  // the annotation has no effect) — surfaced as CRL131 warnings.
-  if (mod.parallel && mod.eval_mode == EvalMode::kMaterialized) {
-    const char* why = nullptr;
-    if (mod.ordered_search) {
-      why = "@ordered_search schedules subgoals context-wise";
-    } else if (mod.fixpoint == FixpointKind::kPredicateSemiNaive) {
-      why = "@psn relies on immediate availability within a pass";
-    } else if (mod.explain) {
-      why = "@explain records derivations in evaluation order";
-    }
-    if (why != nullptr) {
-      Diagnostic d;
-      d.severity = DiagSeverity::kWarning;
-      d.code = diag::kAnnotationIgnored;
-      d.module_name = mod.name;
-      d.loc = AnnotationLoc(mod, "parallel");
-      d.message = std::string("@parallel is ignored: ") + why +
-                  "; the module evaluates sequentially";
-      out->Add(std::move(d));
-    }
-  }
   // CRL134: @profile on a pipelined module records only rule activation
   // and answer counts (no fixpoint, delta, or iteration statistics).
   if (mod.profile && mod.eval_mode == EvalMode::kPipelined) {

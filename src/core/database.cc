@@ -124,42 +124,16 @@ Database::Database()
 
 Database::~Database() {
   // Teardown ordering: member declaration order would destroy stats_
-  // before the thread pool and the module instances that still hold
-  // ModuleProfile pointers into it. Quiesce the users first — detach the
-  // trace sink, join/destroy pool workers, drop module state — so a
-  // TraceSink or a profile reader can never observe a dead registry.
+  // before the module instances that still hold ModuleProfile pointers
+  // into it. Quiesce the users first — detach the trace sink, drop module
+  // state — so a TraceSink or a profile reader can never observe a dead
+  // registry.
   trace_sink_ = nullptr;
-  pool_.reset();
   modules_.reset();
 }
 
-void Database::set_num_threads(int n) {
-  if (n < 1) n = 1;
-  if (n > kMaxParallelThreads) n = static_cast<int>(kMaxParallelThreads);
-  num_threads_ = n;
-  // Term construction only needs the hash-consing lock when fixpoint
-  // workers can run; single-threaded mode takes the uncontended fast
-  // path — unless concurrent sessions were enabled, which is sticky.
-  factory_->set_concurrent(
-      num_threads_ > 1 ||
-      concurrent_sessions_.load(std::memory_order_relaxed));
-}
-
 void Database::EnableConcurrentSessions() {
-  // Enable-only (engages strictly more locking), hence safe at any time.
-  concurrent_sessions_.store(true, std::memory_order_relaxed);
-  factory_->set_concurrent(true);
-}
-
-ThreadPool* Database::thread_pool(size_t threads) {
-  if (threads < 1) threads = 1;
-  // Pool workers + the calling thread service a batch, so `threads`
-  // workers would leave one idle; size the pool at threads - 1.
-  size_t want = threads - 1;
-  if (pool_ == nullptr || (want > 0 && pool_->size() < want)) {
-    pool_ = std::make_unique<ThreadPool>(want > 0 ? want : 1);
-  }
-  return pool_.get();
+  factory_->EnableConcurrent();
 }
 
 Relation* Database::FindBaseRelation(const PredRef& pred) const {

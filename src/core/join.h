@@ -25,7 +25,6 @@
 #include "src/core/builtins.h"
 #include "src/data/unify.h"
 #include "src/lang/ast.h"
-#include "src/rel/partition.h"
 #include "src/rel/relation.h"
 
 namespace coral {
@@ -63,22 +62,13 @@ class GoalSource {
   Trail::Mark base_ = 0;
 };
 
-/// Hash-partition restriction of a delta scan (parallel fixpoint): yield
-/// only tuples of partition `index` of `count`, keyed on column `col`
-/// (-1 = whole-tuple hash). count == 0 disables partitioning.
-struct PartitionSpec {
-  int col = -1;
-  uint32_t index = 0;
-  uint32_t count = 0;
-};
-
 /// Scan of a stored relation restricted to a mark window, using whatever
 /// index the relation selects; candidates are unified argument-wise.
 class RelationGoalSource : public GoalSource {
  public:
   RelationGoalSource(const Literal* lit, BindEnv* env, const Relation* rel,
-                     Mark from, Mark to, PartitionSpec part = {})
-      : lit_(lit), env_(env), rel_(rel), from_(from), to_(to), part_(part),
+                     Mark from, Mark to)
+      : lit_(lit), env_(env), rel_(rel), from_(from), to_(to),
         tuple_env_(0) {}
 
   bool Next(Trail* trail) override;
@@ -91,7 +81,6 @@ class RelationGoalSource : public GoalSource {
   BindEnv* env_;
   const Relation* rel_;
   Mark from_, to_;
-  PartitionSpec part_;
   BindEnv tuple_env_;
   std::unique_ptr<TupleIterator> it_;
 };

@@ -773,11 +773,9 @@ bool MaterializedInstance::CanMaintain() const {
 Status MaterializedInstance::Maintain(const UpdateDelta& delta,
                                       UpdateResult* result) {
   CORAL_CHECK(complete_ && !in_step_);
-  maintenance_mode_ = true;
   trace_ = db_->trace_sink();
   MaintenancePass pass(this, result);
   Status st = pass.Run(delta);
-  maintenance_mode_ = false;
   if (!st.ok()) counts_valid_ = false;
   return st;
 }

@@ -137,7 +137,7 @@ class MaterializedInstance {
   /// The display (pre-rewriting) name of an internal predicate.
   std::string DisplayName(const PredRef& pred) const;
   /// Runs RunIteration wrapped in iteration bookkeeping: trace events,
-  /// wall/worker time and delta sizes when profiling or tracing is on.
+  /// wall time and delta sizes when profiling or tracing is on.
   Status RunIterationObserved(size_t scc_idx, bool* changed);
 
   // --- fixpoint engine (fixpoint.cc) ---
@@ -151,29 +151,8 @@ class MaterializedInstance {
                                                        PredRefHash>* cur);
   StatusOr<std::unique_ptr<GoalSource>> MakeSource(const Literal* lit,
                                                    BindEnv* env, Mark from,
-                                                   Mark to,
-                                                   PartitionSpec part = {});
+                                                   Mark to);
 
-  // --- parallel fixpoint engine (fixpoint.cc) ---
-  /// Worker count for this instance: @parallel(N) override or the
-  /// Database-wide default, forced to 1 when the instance is not
-  /// parallel-eligible (see parallel_safe_).
-  size_t EffectiveThreads() const;
-  /// One BSN/Naive iteration evaluated by `nthreads` workers over
-  /// hash-partitioned delta scans with per-worker insert buffers, merged
-  /// serially at the barrier. Produces relation sets identical to
-  /// RunIteration: all reads are bounded by the iteration-start snapshot,
-  /// so rule applications are data-independent within the iteration.
-  Status RunIterationParallel(size_t scc_idx, bool* changed,
-                              size_t nthreads);
-  /// Worker body: one non-aggregate rule version on one delta partition;
-  /// derivations land in `buffer`, never in the relations. trail/stats
-  /// are worker-local.
-  Status ApplyVersionPartitioned(
-      size_t scc_idx, const RuleVersion& v, bool naive_override,
-      const std::unordered_map<PredRef, Mark, PredRefHash>* cur,
-      uint32_t part_index, uint32_t part_count, Trail* trail,
-      InsertBuffer* buffer, EvalStats* stats);
   std::pair<Mark, Mark> WindowFor(size_t scc_idx, const PredRef& pred,
                                   RangeSel sel,
                                   const std::unordered_map<PredRef, Mark,
@@ -212,12 +191,6 @@ class MaterializedInstance {
       staging_;  // Ordered Search: magic-head inserts are intercepted here
   Trail trail_;
 
-  // True when every evaluation strategy/feature in use is covered by the
-  // parallel engine: materialized BSN/Naive, no Ordered Search, no
-  // @explain, and no body literal that calls another module or a
-  // side-effecting builtin (assert/retract). Computed once in Init.
-  bool parallel_safe_ = false;
-
   // Lazy / resumable evaluation state.
   size_t cur_scc_ = 0;
   std::vector<bool> once_done_;
@@ -248,9 +221,6 @@ class MaterializedInstance {
   // deleted by maintenance, whatever their support count.
   std::unordered_map<PredRef, std::unordered_set<const Tuple*>, PredRefHash>
       engine_seeds_;
-  // Forces EffectiveThreads() == 1 while a maintenance pass (including
-  // its resumed fixpoint) runs: delta bookkeeping is single-threaded.
-  bool maintenance_mode_ = false;
   // Argument indexes for the maintenance joins' probe patterns (which
   // the evaluation-time planned indexes need not cover) are created once
   // per instance, at the first pass.
@@ -272,7 +242,6 @@ class MaterializedInstance {
   // Database at each RunStep so sinks can attach to live save modules.
   obs::ModuleProfile* profile_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
-  std::vector<uint64_t> last_worker_ns_;  // filled by RunIterationParallel
 };
 
 /// TupleIterator over a materialized instance's answers that drives lazy

@@ -27,8 +27,8 @@ using Symbol = const SymbolInfo*;
 
 /// Interns strings into stable SymbolInfo entries (deque-backed, so a
 /// Symbol stays valid forever). Single-threaded by default — CORAL began
-/// as a single-user client (paper §2) — but concurrent sessions flip
-/// set_concurrent(), after which Intern/Find self-lock (rank
+/// as a single-user client (paper §2) — but concurrent sessions call
+/// EnableConcurrent(), after which Intern/Find self-lock (rank
 /// kRankSymbolTable; acquired under the TermFactory lock by MakeAtom, so
 /// it ranks above kRankTermFactory).
 class SymbolTable {
@@ -48,13 +48,10 @@ class SymbolTable {
     return entries_.size();
   }
 
-  /// Engages the interning lock. Safe to call at any time (the flag is
-  /// atomic); disengaging is only safe when no other thread interns.
-  void set_concurrent(bool on) {
-    concurrent_.store(on, std::memory_order_relaxed);
-  }
-  bool concurrent() const {
-    return concurrent_.load(std::memory_order_relaxed);
+  /// Engages the interning lock for good. Safe to call at any time: the
+  /// flag is atomic and never turns off again.
+  void EnableConcurrent() {
+    concurrent_.store(true, std::memory_order_relaxed);
   }
 
  private:

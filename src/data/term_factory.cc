@@ -39,8 +39,8 @@ const Arg** TermFactory::CopyArgs(std::span<const Arg* const> args) {
 }
 
 size_t TermFactory::hashcons_size() const {
-  // Previously read the table with no lock at all — racy while workers
-  // construct terms; now synchronized like every other accessor.
+  // Synchronized like every other accessor: Session threads may be
+  // constructing terms concurrently.
   MaybeMutexLock lock(&mu_, concurrent_);
   return functor_cons_.size();
 }

@@ -31,20 +31,20 @@ namespace coral {
 /// are valid until the factory is destroyed; Args from different factories
 /// must never be mixed.
 ///
-/// Construction methods are thread-safe (guarded by mu_, rank
-/// kRankTermFactory) so the parallel fixpoint workers can resolve head
-/// tuples concurrently; returned nodes are immutable and may be read from
-/// any thread. The symbol table is only safe through factory methods
-/// (MakeAtom / MakeFunctor-by-name) — direct symbols().Intern() calls
-/// remain single-threaded (parser, setup).
+/// Construction methods are thread-safe once concurrent sessions are
+/// enabled (guarded by mu_, rank kRankTermFactory), so Session threads
+/// can construct terms concurrently; returned nodes are immutable and may
+/// be read from any thread. The symbol table is only safe through factory
+/// methods (MakeAtom / MakeFunctor-by-name) — direct symbols().Intern()
+/// calls remain single-threaded (parser, setup).
 ///
-/// The lock is only taken while `concurrent()` is set (the Database flips
-/// it with set_num_threads): with one thread every construction skips the
-/// mutex entirely (MaybeMutexLock). The flag itself must only change at
-/// points where no other thread can be constructing terms. Public
-/// constructors take the guard once and delegate to private *Locked
-/// methods, so composed constructions (MakeList -> cons -> functor ->
-/// atom) lock once instead of recursively.
+/// The lock is only taken after EnableConcurrent() (called by
+/// Database::EnableConcurrentSessions): until then every construction
+/// skips the mutex entirely (MaybeMutexLock), which keeps embedded
+/// single-threaded use uncontended. The flag only ever goes from off to
+/// on. Public constructors take the guard once and delegate to private
+/// *Locked methods, so composed constructions (MakeList -> cons ->
+/// functor -> atom) lock once instead of recursively.
 class TermFactory {
  public:
   TermFactory();
@@ -52,28 +52,24 @@ class TermFactory {
   TermFactory& operator=(const TermFactory&) = delete;
 
   /// The symbol table. The reference bypasses the construction lock; that
-  /// is safe because SymbolTable self-locks (rank kRankSymbolTable) while
-  /// concurrent() is set — set_concurrent flips both flags together. In
-  /// single-threaded mode the old contract stands: serial parse/setup
-  /// phases only (docs/CONCURRENCY.md).
+  /// is safe because SymbolTable self-locks (rank kRankSymbolTable) once
+  /// EnableConcurrent has run — it engages both locks together. Before
+  /// that, serial parse/setup phases only (docs/CONCURRENCY.md).
   SymbolTable& symbols()
       CORAL_TS_UNSAFE("SymbolTable self-locks when concurrent; otherwise "
                       "serial parse/setup phases only") {
     return symbols_;
   }
 
-  /// Enables (or disables) the internal construction lock and the symbol
-  /// table's interning lock. Enabling is safe at any time (flags are
-  /// atomic and engage strictly more locking); disabling is only safe
-  /// from single-threaded code — typically Database::set_num_threads.
-  void set_concurrent(bool on)
-      CORAL_TS_UNSAFE("flag flips are atomic; symbols_ self-locks "
+  /// Engages the internal construction lock and the symbol table's
+  /// interning lock for the rest of the factory's life. Safe to call at
+  /// any time: the flags are atomic and only ever turn on, which engages
+  /// strictly more locking.
+  void EnableConcurrent()
+      CORAL_TS_UNSAFE("enable-only atomic flags; symbols_ self-locks "
                       "independently of mu_") {
-    concurrent_.store(on, std::memory_order_relaxed);
-    symbols_.set_concurrent(on);
-  }
-  bool concurrent() const {
-    return concurrent_.load(std::memory_order_relaxed);
+    concurrent_.store(true, std::memory_order_relaxed);
+    symbols_.EnableConcurrent();
   }
 
   // ---- Primitive constants (interned; pointer equality) ----
@@ -164,9 +160,9 @@ class TermFactory {
   /// Guards every construction path (arena, hash-cons tables, symbol
   /// interning via MakeAtom). Engaged only when concurrent_ is set.
   mutable Mutex mu_{kRankTermFactory};
-  /// Read before locking to decide whether to lock at all; flipped only
-  /// at quiescent points (no workers constructing), which is what makes
-  /// the unguarded read sound.
+  /// Read before locking to decide whether to lock at all. Set once,
+  /// before a second thread constructs terms (Session creation), and
+  /// never cleared, which is what makes the unguarded read sound.
   std::atomic<bool> concurrent_{false};
   Arena arena_ CORAL_GUARDED_BY(mu_);
   SymbolTable symbols_ CORAL_GUARDED_BY(mu_);

@@ -190,28 +190,6 @@ Status Parser::ParseAnnotation(ModuleDecl* mod, Program* top) {
 
   // Flag-style module annotations.
   CORAL_RETURN_IF_ERROR(module_only());
-  if (name == "parallel") {
-    // @parallel. or @parallel(N). — parallel bottom-up fixpoint; without
-    // an explicit count the Database-wide setting applies. Range checking
-    // is the analyzer's job (CRL133) so the whole module gets diagnosed.
-    mod->parallel = true;
-    if (Eat(TokenKind::kLParen)) {
-      bool neg = Eat(TokenKind::kMinus);
-      if (!At(TokenKind::kInteger)) {
-        return ErrorHere("expected thread count in @parallel(N)");
-      }
-      // Out-of-int64 or negative counts become 0 — an out-of-range value
-      // the analyzer rejects with CRL133 (0 never collides with the -1
-      // "no explicit count" default).
-      char* end = nullptr;
-      long long n = std::strtoll(Cur().text.c_str(), &end, 10);
-      if (neg || end == nullptr || *end != '\0' || n < 0) n = 0;
-      mod->parallel_threads = static_cast<int64_t>(n);
-      Bump();
-      CORAL_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
-    }
-    return Expect(TokenKind::kDot);
-  }
   if (name == "pipelining") {
     mod->eval_mode = EvalMode::kPipelined;
   } else if (name == "materialized" || name == "materialization") {

@@ -87,28 +87,13 @@ std::string RenderModuleProfile(const ModuleProfile& profile,
   // signal for diagnosing slow recursive modules.
   std::vector<IterationStats> iters = profile.iterations();
   if (!iters.empty() && opts.max_iterations > 0) {
-    out += "  iterations (scc:iter delta solutions wall_ms";
-    bool any_workers = false;
-    for (const IterationStats& it : iters) {
-      if (!it.worker_ns.empty()) any_workers = true;
-    }
-    if (any_workers) out += " [worker_ms...]";
-    out += "):\n";
+    out += "  iterations (scc:iter delta solutions wall_ms):\n";
     size_t shown = std::min(iters.size(), opts.max_iterations);
     for (size_t i = 0; i < shown; ++i) {
       const IterationStats& it = iters[i];
       out += "    " + Num(it.scc) + ":" + Num(i) + "  delta=" +
              Num(it.inserts) + " sols=" + Num(it.solutions) + " wall=" +
-             Millis(it.wall_ns) + "ms";
-      if (!it.worker_ns.empty()) {
-        out += " workers=[";
-        for (size_t w = 0; w < it.worker_ns.size(); ++w) {
-          if (w > 0) out += " ";
-          out += Millis(it.worker_ns[w]);
-        }
-        out += "]ms";
-      }
-      out += "\n";
+             Millis(it.wall_ns) + "ms\n";
     }
     if (iters.size() > shown) {
       out += "    ... " + Num(iters.size() - shown) + " more iteration(s)\n";

@@ -7,10 +7,10 @@
 // counts aggregate across activations (a non-save module creates a fresh
 // MaterializedInstance per call). The evaluation engines hold a raw
 // ModuleProfile* that is nullptr unless profiling is on — every hook is
-// a single pointer test when disabled. Counters written from parallel
-// fixpoint workers are relaxed atomics: each worker owns a disjoint
-// partition of the work, so sums are exact and thread-count invariant;
-// only ordering, never the totals, depends on the schedule.
+// a single pointer test when disabled. Counters are relaxed atomics:
+// concurrent Session queries may evaluate activations of the same module,
+// whose counts land in one profile; the sums stay exact and only their
+// ordering depends on the schedule.
 
 #ifndef CORAL_OBS_STATS_H_
 #define CORAL_OBS_STATS_H_
@@ -26,15 +26,9 @@
 namespace coral::obs {
 
 /// Counters for one rule of a module (indexed by the rule's position in
-/// the module's rule list). `applications`, `inserted` are written by the
-/// evaluation driver thread; `solutions` and `probes` also by fixpoint
-/// workers (one relaxed add per rule application, not per tuple).
-///
-/// Thread-count invariant (exact at any worker count): applications,
-/// solutions, derived, inserted — and therefore duplicates(). `probes`
-/// counts get-next-tuple calls on body goal sources, which depends on how
-/// scans are partitioned across workers; it is exact but only comparable
-/// between runs at the same thread count (like wall time).
+/// the module's rule list), written by the evaluating thread with one
+/// relaxed add per rule application, not per tuple. `probes` counts
+/// get-next-tuple calls on body goal sources.
 struct RuleStats {
   std::atomic<uint64_t> applications{0};  // semi-naive version evaluations
   std::atomic<uint64_t> probes{0};        // goal-source get-next calls
@@ -52,14 +46,12 @@ struct RuleStats {
 };
 
 /// One fixpoint iteration of one SCC: the delta size (new tuples), the
-/// solutions enumerated, wall time, and per-worker busy time under the
-/// parallel engine (worker 0 is the calling thread).
+/// solutions enumerated and wall time.
 struct IterationStats {
   uint32_t scc = 0;
   uint64_t inserts = 0;    // delta size: tuples new this iteration
   uint64_t solutions = 0;  // body solutions enumerated this iteration
   uint64_t wall_ns = 0;
-  std::vector<uint64_t> worker_ns;  // empty for the sequential engine
 };
 
 /// All statistics recorded for one module, aggregated across activations.
@@ -91,12 +83,12 @@ class ModuleProfile {
   }
   /// Valid for any index < rule_count(); the deque never shrinks, so the
   /// reference stays stable for the registry's lifetime. Lock-free on
-  /// purpose: workers bump these counters once per rule application, and
-  /// slot growth (EnsureRules) happens only in the single-threaded Init
-  /// that happens-before any worker batch of the activation.
+  /// purpose: evaluation bumps these counters once per rule application,
+  /// and slot growth (EnsureRules) happens only in the activation's Init,
+  /// which happens-before its evaluation.
   RuleStats& rule(size_t i)
       CORAL_TS_UNSAFE("deque references are stable and slots are created "
-                      "before workers start; see docs/CONCURRENCY.md") {
+                      "in Init, before evaluation; see docs/CONCURRENCY.md") {
     return rules_[i];
   }
   const RuleStats& rule(size_t i) const

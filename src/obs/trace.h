@@ -1,9 +1,9 @@
 // Structured trace events for evaluation: iteration begin/end, rule
 // fire, relation insert, module call/done. Events are emitted from
 // serial points of the engine (the fixpoint driver thread and the
-// module manager), so a TraceSink never sees concurrent Emit calls and
-// the event order is deterministic for a given program and thread
-// count. The JSONL form is one self-contained JSON object per line,
+// module manager), so a TraceSink never sees concurrent Emit calls from
+// one evaluation and the event order is deterministic for a given
+// program. The JSONL form is one self-contained JSON object per line,
 // parseable by TraceEvent::FromJson (round-trip tested in api_test).
 
 #ifndef CORAL_OBS_TRACE_H_

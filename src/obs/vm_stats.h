@@ -1,7 +1,7 @@
 // Copyright (c) 1993-style CORAL reproduction authors.
 // Per-opcode counters for the join bytecode VM (docs/VM.md). One instance
-// lives in the Database; workers accumulate into plain locals during a
-// rule application and flush once per application, so the atomics are off
+// lives in the Database; the executor accumulates into plain locals during
+// a rule application and flushes once per application, so the atomics are off
 // the per-tuple hot path.
 
 #ifndef CORAL_OBS_VM_STATS_H_

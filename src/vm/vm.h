@@ -33,9 +33,8 @@ struct OpCounts {
   uint64_t insert = 0;
 };
 
-/// Receives derived head tuples. Sequential evaluation inserts directly
-/// (returning whether the relation changed); parallel workers buffer for
-/// the barrier merge and return false.
+/// Receives derived head tuples; Emit inserts and returns whether the
+/// relation changed.
 class TupleSink {
  public:
   virtual ~TupleSink() = default;
@@ -62,13 +61,6 @@ struct RunInput {
   /// The driver computes these (BSN/PSN/naive all differ only here).
   std::span<const std::pair<Mark, Mark>> windows;
   TermFactory* factory = nullptr;
-  /// Parallel partition filter, applied at body literal `part_lit`
-  /// (PartitionKey(t, part_col) % part_count == part_index); part_lit < 0
-  /// disables it.
-  int part_lit = -1;
-  int part_col = -1;
-  uint32_t part_index = 0;
-  uint32_t part_count = 1;
 };
 
 struct RunStats {

@@ -323,72 +323,6 @@ TEST_F(AnalysisTest, AnnotationTargetingUnknownPredicateIsWarned) {
   EXPECT_NE(d->message.find("ghost"), std::string::npos);
 }
 
-// --- CRL130/131/133: @parallel --------------------------------------------
-
-TEST_F(AnalysisTest, ValidParallelAnnotationIsClean) {
-  DiagnosticList dl = Analyze(
-      "module m.\n"
-      "export p(ff).\n"
-      "@parallel(4).\n"
-      "p(X, Y) :- e(X, Y).\n"
-      "p(X, Y) :- e(X, Z), p(Z, Y).\n"
-      "end_module.\n");
-  EXPECT_TRUE(dl.empty()) << dl.ToString();
-  // Both with an explicit count and without.
-  auto res = db_.Consult(
-      "module m2.\nexport p(ff).\n@parallel.\n"
-      "p(X, Y) :- e(X, Y).\nend_module.\n");
-  EXPECT_TRUE(res.ok()) << res.status().ToString();
-}
-
-TEST_F(AnalysisTest, ParallelConflictsWithPipelining) {
-  DiagnosticList dl = Analyze(
-      "module m.\n"
-      "export p(ff).\n"
-      "@pipelining.\n"
-      "@parallel(2).\n"
-      "p(X, Y) :- e(X, Y).\n"
-      "end_module.\n");
-  const Diagnostic* d = Find(dl, diag::kAnnotationConflict);
-  ASSERT_NE(d, nullptr) << dl.ToString();
-  EXPECT_EQ(d->severity, DiagSeverity::kError);
-
-  auto res = db_.Consult(
-      "module m2.\nexport p(ff).\n@pipelining.\n@parallel(2).\n"
-      "p(X, Y) :- e(X, Y).\nend_module.\n");
-  EXPECT_FALSE(res.ok());
-}
-
-TEST_F(AnalysisTest, ParallelThreadCountOutOfRangeIsError) {
-  for (const char* count : {"0", "65", "9999", "-1"}) {
-    DiagnosticList dl = Analyze(
-        "module m.\n"
-        "export p(ff).\n"
-        "@parallel(" + std::string(count) + ").\n"
-        "p(X, Y) :- e(X, Y).\n"
-        "end_module.\n");
-    const Diagnostic* d = Find(dl, diag::kBadParallelThreads);
-    ASSERT_NE(d, nullptr) << "@parallel(" << count << "): "
-                          << dl.ToString();
-    EXPECT_EQ(d->severity, DiagSeverity::kError);
-  }
-}
-
-TEST_F(AnalysisTest, ParallelOnSequentialOnlyStrategyIsWarned) {
-  DiagnosticList dl = Analyze(
-      "module m.\n"
-      "export p(bf).\n"
-      "@ordered_search.\n"
-      "@parallel(4).\n"
-      "p(X, Y) :- e(X, Y).\n"
-      "p(X, Y) :- e(X, Z), p(Z, Y).\n"
-      "end_module.\n");
-  const Diagnostic* d = Find(dl, diag::kAnnotationIgnored);
-  ASSERT_NE(d, nullptr) << dl.ToString();
-  EXPECT_EQ(d->severity, DiagSeverity::kWarning);
-  EXPECT_NE(d->message.find("sequential"), std::string::npos);
-}
-
 TEST_F(AnalysisTest, ProfileOnPipelinedModuleIsWarned) {
   DiagnosticList dl = Analyze(
       "module m.\n"

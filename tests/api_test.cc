@@ -1,8 +1,7 @@
 // Tests for the public embedding facade: the <coral/coral.h> umbrella
 // header (the only include in this file), the uniform StatusOr<> entry
-// points, the EvalQuery rename (with its deprecated Query_ alias), the
-// Coral-facade observability passthroughs, and TraceEvent JSONL
-// round-tripping through the parser.
+// points, the Coral-facade observability passthroughs, and TraceEvent
+// JSONL round-tripping through the parser.
 
 #include <sstream>
 #include <string>
@@ -52,21 +51,6 @@ TEST(ApiTest, ErrorsUseDocumentedStatusCodes) {
   // an error: the deductive-database convention is an empty relation.)
   EXPECT_EQ(db.ConsultFile("/no/such/file.coral").status().code(),
             StatusCode::kNotFound);
-}
-
-TEST(ApiTest, DeprecatedQueryAliasStillWorks) {
-  Database db;
-  ASSERT_TRUE(db.Consult(kProgram).ok());
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  StatusOr<QueryResult> result = db.Query_("path(a, X)");
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->rows.size(), 3u);
 }
 
 TEST(ApiTest, CoralFacadeCoversEmbeddingSurface) {

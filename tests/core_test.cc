@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/core/database.h"
 #include "src/lang/parser.h"
@@ -817,6 +819,121 @@ TEST_F(CoreTest, RunConsultsAndAnswers) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_NE(out->find("X = 2"), std::string::npos);
   EXPECT_NE(out->find("X = 3"), std::string::npos);
+}
+
+// Deterministic generator for the randomized closure cases below.
+class Lcg {
+ public:
+  explicit Lcg(uint64_t seed) : s_(seed * 0x9e3779b97f4a7c15ull + 1) {}
+  uint64_t Next(uint64_t bound) {
+    s_ = s_ * 6364136223846793005ull + 1442695040888963407ull;
+    return (s_ >> 33) % bound;
+  }
+
+ private:
+  uint64_t s_;
+};
+
+// Wide-fanout transitive closure: the full all-pairs closure of a random
+// graph (@no_rewriting keeps every pair, so iteration deltas are wide),
+// against a per-source BFS reference.
+TEST_F(CoreTest, WideFanoutTransitiveClosureMatchesBfs) {
+  constexpr int kNodes = 120;
+  constexpr int kEdges = 4 * kNodes;
+  Lcg rng(97);
+  std::vector<std::vector<int>> adj(kNodes);
+  std::string facts;
+  for (int i = 0; i < kEdges; ++i) {
+    int a = static_cast<int>(rng.Next(kNodes));
+    int b = static_cast<int>(rng.Next(kNodes));
+    adj[a].push_back(b);
+    facts += "e(" + std::to_string(a) + ", " + std::to_string(b) + ").\n";
+  }
+  std::set<std::pair<int, int>> expected;
+  for (int s = 0; s < kNodes; ++s) {
+    std::vector<bool> seen(kNodes, false);
+    std::queue<int> work;
+    work.push(s);
+    while (!work.empty()) {
+      int cur = work.front();
+      work.pop();
+      for (int nxt : adj[cur]) {
+        if (!seen[nxt]) {
+          seen[nxt] = true;
+          expected.insert({s, nxt});
+          work.push(nxt);
+        }
+      }
+    }
+  }
+
+  Load(facts);
+  Load("module tcm.\nexport tc(ff).\n@no_rewriting.\n"
+       "tc(X, Y) :- e(X, Y).\n"
+       "tc(X, Y) :- e(X, Z), tc(Z, Y).\nend_module.\n");
+  auto res = db.EvalQuery("tc(X, Y)");
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  std::set<std::pair<int, int>> got;
+  for (const AnswerRow& row : res->rows) {
+    ASSERT_EQ(row.bindings.size(), 2u);
+    got.insert(
+        {static_cast<int>(ArgCast<IntArg>(row.bindings[0].second)->value()),
+         static_cast<int>(ArgCast<IntArg>(row.bindings[1].second)->value())});
+  }
+  EXPECT_EQ(got.size(), expected.size());
+  EXPECT_EQ(got, expected);
+}
+
+// All-pairs cheapest cost with a min() aggregate selection pruning the
+// cost relation as it grows, against a Floyd-Warshall reference.
+TEST_F(CoreTest, AggregatedCheapestCostClosureMatchesFloydWarshall) {
+  constexpr int kNodes = 36;
+  constexpr int kEdges = 5 * kNodes;
+  constexpr int kInf = 1 << 28;
+  Lcg rng(1234);
+  std::vector<std::vector<int>> cost(kNodes,
+                                     std::vector<int>(kNodes, kInf));
+  std::string facts;
+  for (int i = 0; i < kEdges; ++i) {
+    int a = static_cast<int>(rng.Next(kNodes));
+    int b = static_cast<int>(rng.Next(kNodes));
+    int c = 1 + static_cast<int>(rng.Next(9));
+    if (c < cost[a][b]) cost[a][b] = c;
+    facts += "edge(" + std::to_string(a) + ", " + std::to_string(b) +
+             ", " + std::to_string(c) + ").\n";
+  }
+  // Floyd-Warshall (paths of length >= 1, as the program derives).
+  std::vector<std::vector<int>> dist = cost;
+  for (int k = 0; k < kNodes; ++k) {
+    for (int i = 0; i < kNodes; ++i) {
+      for (int j = 0; j < kNodes; ++j) {
+        if (dist[i][k] < kInf && dist[k][j] < kInf) {
+          dist[i][j] = std::min(dist[i][j], dist[i][k] + dist[k][j]);
+        }
+      }
+    }
+  }
+
+  Load(facts);
+  Load("module spm.\nexport d(fff).\n@no_rewriting.\n"
+       "@aggregate_selection p(X, Y, C) (X, Y) min(C).\n"
+       "p(X, Y, C) :- edge(X, Y, C).\n"
+       "p(X, Y, C) :- p(X, Z, C1), edge(Z, Y, C2), C = C1 + C2.\n"
+       "d(X, Y, min(<C>)) :- p(X, Y, C).\nend_module.\n");
+  auto res = db.EvalQuery("d(X, Y, C)");
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  for (const AnswerRow& row : res->rows) {
+    ASSERT_EQ(row.bindings.size(), 3u);
+    int x = static_cast<int>(ArgCast<IntArg>(row.bindings[0].second)->value());
+    int y = static_cast<int>(ArgCast<IntArg>(row.bindings[1].second)->value());
+    int c = static_cast<int>(ArgCast<IntArg>(row.bindings[2].second)->value());
+    EXPECT_EQ(c, dist[x][y]) << "pair " << x << "," << y;
+  }
+  size_t reachable = 0;
+  for (int i = 0; i < kNodes; ++i) {
+    for (int j = 0; j < kNodes; ++j) reachable += dist[i][j] < kInf;
+  }
+  EXPECT_EQ(res->rows.size(), reachable);
 }
 
 }  // namespace

@@ -286,6 +286,10 @@ TEST_F(LangTest, ParseErrors) {
       ParseError("@make_index e(X,Y)(f(X)).").ok());
   EXPECT_FALSE(  // module-only annotation at top level
       ParseError("@pipelining.").ok());
+  EXPECT_NE(  // no parallel fixpoint annotation
+      ParseError("module m. @parallel. end_module.").ToString().find(
+          "unknown annotation @parallel"),
+      std::string::npos);
 }
 
 TEST_F(LangTest, ParseTermHelper) {

@@ -15,8 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/util/thread_pool.h"
-
 namespace coral {
 namespace {
 
@@ -32,7 +30,7 @@ class LockOrderTest : public ::testing::Test {
 };
 
 TEST_F(LockOrderTest, RankOrderedAcquisitionIsSilent) {
-  Mutex low(kRankThreadPool);
+  Mutex low(kRankBaseMap);
   Mutex mid(kRankTermFactory);
   Mutex high(kRankStorageMetrics);
   for (int i = 0; i < 3; ++i) {
@@ -99,7 +97,7 @@ TEST_F(LockOrderTest, TryLockParticipatesInOrderChecking) {
 
 TEST_F(LockOrderTest, DisengagedMaybeLockDoesNotTrack) {
   Mutex a(kRankStorageMetrics);
-  Mutex b(kRankThreadPool);
+  Mutex b(kRankBaseMap);
   MaybeMutexLock la(&a, /*engage=*/false);  // no physical acquisition
   MutexLock lb(&b);  // would be an inversion if `a` were really held
   EXPECT_EQ(lock_order::Violations(), 0u);
@@ -107,7 +105,7 @@ TEST_F(LockOrderTest, DisengagedMaybeLockDoesNotTrack) {
 }
 
 TEST_F(LockOrderTest, ReleaseOutOfLifoOrderIsTracked) {
-  Mutex a(kRankThreadPool);
+  Mutex a(kRankBaseMap);
   Mutex b(kRankTermFactory);
   a.Lock();
   b.Lock();
@@ -123,10 +121,10 @@ TEST_F(LockOrderTest, ReleaseOutOfLifoOrderIsTracked) {
 
 TEST_F(LockOrderTest, SharedMutexChecksBothModes) {
   SharedMutex rw(kRankTermFactory);
-  Mutex low(kRankThreadPool);
+  Mutex low(kRankBaseMap);
   {
     ReaderLock r(&rw);
-    MutexLock l(&low);  // rank 10 after 40, via a shared hold
+    MutexLock l(&low);  // rank 8 after 40, via a shared hold
   }
   EXPECT_EQ(lock_order::Violations(), 1u);
   lock_order::ResetViolations();
@@ -195,15 +193,6 @@ TEST(SyncTest, CondVarSignalsAcrossThreads) {
   cv.NotifyOne();
   consumer.join();
   EXPECT_EQ(consumed, 7);
-}
-
-TEST(SyncTest, ThreadPoolStillBarriersUnderAnnotatedLocks) {
-  ThreadPool pool(3);
-  std::vector<int> out(64, 0);
-  pool.Run(out.size(), [&](size_t i) { out[i] = static_cast<int>(i) + 1; });
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i) + 1);
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // coral_serve: the CORAL query server (docs/SERVER.md).
 //
 //   coral_serve [--port=N] [--host=ADDR] [--max-inflight=N]
-//               [--max-queue=N] [--deadline-ms=N] [--threads=N]
+//               [--max-queue=N] [--deadline-ms=N]
 //               [--consult=FILE.crl ...]
 //
 // Boots a Database, consults each --consult file into it, then serves
@@ -34,7 +34,6 @@ void HandleSignal(int) {
 int main(int argc, char** argv) {
   coral::server::ServerOptions opts;
   std::vector<std::string> consults;
-  int threads = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--port=", 0) == 0) {
@@ -47,14 +46,12 @@ int main(int argc, char** argv) {
       opts.max_queue = static_cast<size_t>(std::atoi(arg.c_str() + 12));
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
       opts.default_deadline_ms = std::atoll(arg.c_str() + 14);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--consult=", 0) == 0) {
       consults.push_back(arg.substr(10));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: coral_serve [--port=N] [--host=ADDR]"
                    " [--max-inflight=N] [--max-queue=N] [--deadline-ms=N]"
-                   " [--threads=N] [--consult=FILE.crl ...]\n";
+                   " [--consult=FILE.crl ...]\n";
       return 0;
     } else {
       std::cerr << "coral_serve: unknown flag " << arg << "\n";
@@ -63,7 +60,6 @@ int main(int argc, char** argv) {
   }
 
   coral::Database db;
-  if (threads > 0) db.set_num_threads(threads);
   for (const std::string& file : consults) {
     std::ifstream in(file);
     if (!in) {
