@@ -420,8 +420,8 @@ void Database::PublishLocked() {
       auto* mr = dynamic_cast<MemoryRelation*>(rel);
       if (mr == nullptr || !mr->is_shared_base()) continue;
       if (mr->publish_dirty()) mr->PublishCommitted(epoch);
-      if (const RelReadTable* table = mr->published_table()) {
-        view->tables.emplace(rel, table);
+      if (mr->published_table() != nullptr) {
+        view->tables.emplace(rel, mr->published_table());
       }
     }
   }

@@ -222,8 +222,8 @@ class Database {
   /// The current committed snapshot: publishes any relation state changed
   /// since the last acquisition (bumping the epoch) and returns the view.
   /// Cheap when nothing committed in between — a shared-lock read of the
-  /// cached view. The view (and every table it references) stays valid
-  /// for the life of the database.
+  /// cached view. The view holds a reference to every table it exposes,
+  /// so it stays valid across later commits for the life of the database.
   std::shared_ptr<const ReadView> AcquireReadSnapshot();
 
   /// Epoch of the most recent publication (0 before the first).

@@ -125,8 +125,11 @@ bool HashRelation::ProbeArgs(std::span<const uint32_t> cols,
                              std::span<const Arg* const> key, Mark from,
                              Mark to, std::vector<const Tuple*>* out) const {
   // Live argument indexes are writer-side structures; snapshot readers
-  // decline the probe and the VM scans the (view-served) window instead.
-  if (ViewTable() != nullptr) return false;
+  // probe the frozen table's own index.
+  if (const RelReadTable* table = ViewTable()) {
+    table->Probe(cols, key, from, to, out);
+    return true;
+  }
   auto pos_of = [&](uint32_t c) {
     for (size_t i = 0; i < cols.size(); ++i) {
       if (cols[i] == c) return i;

@@ -45,11 +45,11 @@ class HashRelation : public MemoryRelation {
       : MemoryRelation(std::move(name), arity) {}
 
   /// Snapshot readers (an installed ReadView over a shared base relation)
-  /// are served from the frozen epoch table: Select degrades to a table
-  /// scan, Contains to a linear subsumption check, and ProbeArgs declines
-  /// so the VM takes its documented window-scan fallback — the live
-  /// indexes and count maps are writer-side structures and are never
-  /// touched from reader threads.
+  /// are served from the frozen epoch table: ProbeArgs from the table's
+  /// frozen argument index on the probed columns (built on first use),
+  /// Select from a table scan, and Contains from a linear subsumption
+  /// check — the live indexes and count maps are writer-side structures
+  /// and are never touched from reader threads.
   bool Contains(const Tuple* t) const override;
 
   std::unique_ptr<TupleIterator> Select(std::span<const TermRef> pattern,
@@ -80,7 +80,8 @@ class HashRelation : public MemoryRelation {
   /// and appends a candidate SUPERSET (var-bucket postings included,
   /// tombstones filtered) — callers still check every column. Returns
   /// false when no argument index can serve the probe; the caller must
-  /// fall back to scanning the window.
+  /// fall back to scanning the window. Under a ReadView the probe always
+  /// succeeds, served by RelReadTable::Probe.
   bool ProbeArgs(std::span<const uint32_t> cols,
                  std::span<const Arg* const> key, Mark from, Mark to,
                  std::vector<const Tuple*>* out) const;

@@ -8,7 +8,7 @@ const RelReadTable* MemoryRelation::EmptyTable() {
 }
 
 void MemoryRelation::PublishCommitted(uint64_t epoch) {
-  auto table = std::make_unique<RelReadTable>();
+  auto table = std::make_shared<RelReadTable>();
   table->epoch = epoch;
   // Every subsidiary except the open one is closed (appends only ever go
   // to subs_.back()), so its tuple vector is immutable and can be shared
@@ -18,9 +18,7 @@ void MemoryRelation::PublishCommitted(uint64_t epoch) {
   for (size_t i = 0; i < closed; ++i) table->subs.push_back(&subs_[i].tuples);
   table->tail = subs_.back().tuples;
   table->tombstones = std::make_shared<const TombstoneMap>(deleted_);
-  const RelReadTable* raw = table.get();
-  retired_.push_back(std::move(table));
-  pub_.store(raw, std::memory_order_release);
+  pub_ = std::move(table);
   pub_dirty_ = false;
 }
 

@@ -3,7 +3,7 @@
 // mark interval, paper §3.2), tombstone deletion, and range scans. For
 // relations marked as shared base relations, commits additionally publish
 // immutable epoch snapshots (src/rel/readview.h) that concurrent reader
-// threads scan instead of the live structures.
+// threads scan and probe instead of the live structures.
 
 #ifndef CORAL_REL_MEMORY_RELATION_H_
 #define CORAL_REL_MEMORY_RELATION_H_
@@ -33,7 +33,9 @@ namespace coral {
 /// commit lock holder calls PublishCommitted, and reader threads that
 /// installed a ReadView are served frozen tables by the read paths
 /// (ScanRange here; Select/Contains/ProbeArgs in HashRelation), never
-/// touching the live deque, tombstone set, or indexes.
+/// touching the live deque, tombstone set, or indexes. The relation keeps
+/// only its latest published table; older ones live as long as a view
+/// holds them.
 class MemoryRelation : public Relation {
  public:
   MemoryRelation(std::string name, uint32_t arity)
@@ -74,17 +76,17 @@ class MemoryRelation : public Relation {
   /// meaningful to the commit lock holder.
   bool publish_dirty() const { return pub_dirty_; }
 
-  /// Freezes the current contents as the published epoch table. Caller
-  /// must hold the database commit lock exclusively (no live mutation,
-  /// no concurrent publication). Previously published tables are retained
-  /// until the relation dies, so views taken at older epochs stay valid.
+  /// Freezes the current contents as the published epoch table,
+  /// replacing the previous one (views taken at older epochs hold their
+  /// own references). Caller must hold the database commit lock
+  /// exclusively (no live mutation, no concurrent publication).
   void PublishCommitted(uint64_t epoch);
 
   /// The most recently published table (nullptr before the first
-  /// publication). The Database reads this under the commit lock when
-  /// assembling a ReadView.
-  const RelReadTable* published_table() const {
-    return pub_.load(std::memory_order_acquire);
+  /// publication). Only the commit lock holder may call this; the
+  /// Database does, when assembling a ReadView.
+  const std::shared_ptr<const RelReadTable>& published_table() const {
+    return pub_;
   }
 
  protected:
@@ -148,8 +150,7 @@ class MemoryRelation : public Relation {
  private:
   bool shared_base_ = false;
   bool pub_dirty_ = false;
-  std::atomic<const RelReadTable*> pub_{nullptr};
-  std::vector<std::unique_ptr<RelReadTable>> retired_;
+  std::shared_ptr<const RelReadTable> pub_;
 
   friend class MemoryScanIterator;
 };

@@ -263,7 +263,7 @@ TEST_F(RewriteTest, BacktrackPointsComputed) {
 
 TEST_F(RewriteTest, RewriteModuleEndToEndAncestor) {
   ModuleDecl m = ParseModule(kAncestor);
-  QueryFormDecl form{f.symbols().Intern("anc"), "bf"};
+  QueryFormDecl form{f.symbols().Intern("anc"), "bf", {}};
   auto prog = RewriteModule(m, form, &f);
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   EXPECT_TRUE(prog->uses_magic);
@@ -282,7 +282,7 @@ TEST_F(RewriteTest, RewriteModuleEndToEndAncestor) {
 TEST_F(RewriteTest, RewriteModuleNoRewriting) {
   ModuleDecl m = ParseModule(kAncestor);
   m.rewrite = RewriteKind::kNone;
-  QueryFormDecl form{f.symbols().Intern("anc"), "bf"};
+  QueryFormDecl form{f.symbols().Intern("anc"), "bf", {}};
   auto prog = RewriteModule(m, form, &f);
   ASSERT_TRUE(prog.ok());
   EXPECT_FALSE(prog->uses_magic);
@@ -303,7 +303,7 @@ TEST_F(RewriteTest, RewriteNegationStaysStratifiedWhenMagicIsAcyclic) {
     unreach(X) :- node(X), not reach(X).
     end_module.
   )");
-  QueryFormDecl form{f.symbols().Intern("unreach"), "f"};
+  QueryFormDecl form{f.symbols().Intern("unreach"), "f", {}};
   auto prog = RewriteModule(m, form, &f);
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   EXPECT_TRUE(prog->graph.stratified());
@@ -338,7 +338,7 @@ TEST_F(RewriteTest, RewriteProtectsWhenMagicBreaksStratification) {
     s(X) :- b(X).
     end_module.
   )");
-  QueryFormDecl form{f.symbols().Intern("t"), "b"};
+  QueryFormDecl form{f.symbols().Intern("t"), "b", {}};
   auto prog = RewriteModule(m, form, &f);
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   EXPECT_TRUE(prog->graph.stratified());
@@ -363,7 +363,7 @@ TEST_F(RewriteTest, RewriteUnstratifiedWithoutOrderedSearchFails) {
     win(X) :- move(X, Y), not win(Y).
     end_module.
   )");
-  QueryFormDecl form{f.symbols().Intern("win"), "b"};
+  QueryFormDecl form{f.symbols().Intern("win"), "b", {}};
   auto prog = RewriteModule(m, form, &f);
   EXPECT_FALSE(prog.ok());
 }
@@ -376,7 +376,7 @@ TEST_F(RewriteTest, RewriteOrderedSearchInsertsDoneGuards) {
     win(X) :- move(X, Y), not win(Y).
     end_module.
   )");
-  QueryFormDecl form{f.symbols().Intern("win"), "b"};
+  QueryFormDecl form{f.symbols().Intern("win"), "b", {}};
   auto prog = RewriteModule(m, form, &f);
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   EXPECT_TRUE(prog->ordered_search);
@@ -402,7 +402,7 @@ TEST_F(RewriteTest, RewriteAggregateRuleGetsSingleVersion) {
     sl(X, min(<C>)) :- p(X, Y, C).
     end_module.
   )");
-  QueryFormDecl form{f.symbols().Intern("sl"), "bf"};
+  QueryFormDecl form{f.symbols().Intern("sl"), "bf", {}};
   auto prog = RewriteModule(m, form, &f);
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   int agg_versions = 0;
@@ -416,7 +416,7 @@ TEST_F(RewriteTest, RewriteAggregateRuleGetsSingleVersion) {
 TEST_F(RewriteTest, FactoringProducesContextRules) {
   ModuleDecl m = ParseModule(kAncestor);
   m.rewrite = RewriteKind::kFactoring;
-  QueryFormDecl form{f.symbols().Intern("anc"), "bf"};
+  QueryFormDecl form{f.symbols().Intern("anc"), "bf", {}};
   auto prog = RewriteModule(m, form, &f);
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   // Shape: a seed bridge ctx :- m; a context-propagation rule
@@ -456,7 +456,7 @@ TEST_F(RewriteTest, FactoringRejectsHelpers) {
     end_module.
   )");
   m.rewrite = RewriteKind::kFactoring;
-  QueryFormDecl form{f.symbols().Intern("p"), "bf"};
+  QueryFormDecl form{f.symbols().Intern("p"), "bf", {}};
   auto prog = RewriteModule(m, form, &f);
   ASSERT_FALSE(prog.ok());
   EXPECT_EQ(prog.status().code(), StatusCode::kUnsupported);
@@ -464,7 +464,7 @@ TEST_F(RewriteTest, FactoringRejectsHelpers) {
 
 TEST_F(RewriteTest, RewriteMissingExportFails) {
   ModuleDecl m = ParseModule(kAncestor);
-  QueryFormDecl form{f.symbols().Intern("nosuch"), "bf"};
+  QueryFormDecl form{f.symbols().Intern("nosuch"), "bf", {}};
   EXPECT_FALSE(RewriteModule(m, form, &f).ok());
 }
 

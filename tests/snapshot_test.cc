@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "src/core/database.h"
 #include "src/core/session.h"
 #include "src/obs/trace.h"
+#include "src/rel/readview.h"
 
 namespace coral {
 namespace {
@@ -243,6 +247,185 @@ TEST(SnapshotTest, EpochAdvancesPerPublication) {
   ASSERT_TRUE(db.Consult("p(2).").ok());
   auto v2 = db.AcquireReadSnapshot();
   EXPECT_GT(v2->epoch, e1);
+}
+
+// ---- frozen argument indexes on published tables ----
+
+// `edges` random edges over `nodes` nodes: out-degrees vary, cycles occur.
+std::string RandomEdges(uint32_t seed, int nodes, int edges) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> node(0, nodes - 1);
+  std::string out;
+  for (int i = 0; i < edges; ++i) {
+    out += "edge(" + std::to_string(node(rng)) + ", " +
+           std::to_string(node(rng)) + ").\n";
+  }
+  return out;
+}
+
+std::vector<std::string> SortedRows(const QueryResult& result) {
+  std::vector<std::string> rows;
+  rows.reserve(result.rows.size());
+  for (const AnswerRow& row : result.rows) rows.push_back(row.ToString());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// path(bf) through a Session (bound edge probes served by the view's
+// frozen indexes) answers exactly what Database::EvalQuery answers on the
+// live, indexed relations, and no probe degrades to a window scan.
+TEST(SnapshotTest, SessionProbesMatchLiveEvaluation) {
+  constexpr int kNodes = 120;
+  Database db;
+  ASSERT_TRUE(db.Consult(PathModule()).ok());
+  ASSERT_TRUE(db.Consult(RandomEdges(/*seed=*/13, kNodes, 160)).ok());
+  std::vector<std::vector<std::string>> live;
+  for (int k = 0; k < kNodes; k += 7) {
+    auto result = db.EvalQuery("?- path(" + std::to_string(k) + ", X).");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    live.push_back(SortedRows(*result));
+  }
+
+  db.vm_counters()->Reset();
+  Session session(&db);
+  size_t answers = 0;
+  for (int k = 0, i = 0; k < kNodes; k += 7, ++i) {
+    auto result = session.EvalQuery("?- path(" + std::to_string(k) + ", X).");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(SortedRows(*result), live[i]) << "path(" << k << ", X)";
+    answers += result->rows.size();
+  }
+  EXPECT_GT(answers, 0u);
+  EXPECT_GT(db.vm_counters()->probe_index.load(), 0u);
+  EXPECT_EQ(db.vm_counters()->probe_scan_fallbacks.load(), 0u);
+}
+
+// Facts inserted and deleted on the probed key after a view was acquired
+// are invisible to it, whether or not its index was already built, and
+// visible after Refresh().
+TEST(SnapshotTest, IndexedProbesAreEpochIsolated) {
+  Database db;
+  ASSERT_TRUE(db.Consult(PathModule()).ok());
+  ASSERT_TRUE(db.Consult("edge(1, 2).\nedge(1, 3).\nedge(3, 4).\n").ok());
+  auto answers = [](Session* s) {
+    auto result = s->EvalQuery("?- path(1, X).");
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? SortedRows(*result) : std::vector<std::string>{};
+  };
+  Session reader(&db);
+  Session cold(&db);  // acquires its view now, probes only after commits
+  ASSERT_TRUE(cold.EvalQuery("?- edge(9, 9).").ok());
+  const std::vector<std::string> before = answers(&reader);
+  ASSERT_EQ(before.size(), 3u);  // 2, 3, 4
+
+  Session writer(&db);
+  auto update = writer.ApplyUpdate("+edge(1, 5).\n-edge(1, 3).\n");
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  EXPECT_EQ(answers(&reader), before);
+  EXPECT_EQ(answers(&cold), before);
+
+  reader.Refresh();
+  cold.Refresh();
+  const std::vector<std::string> after = answers(&reader);
+  EXPECT_EQ(after.size(), 2u);  // 2, 5
+  EXPECT_NE(after, before);
+  EXPECT_EQ(answers(&cold), after);
+  auto live = db.EvalQuery("?- path(1, X).");
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(SortedRows(*live), after);
+}
+
+// A stored non-ground fact lands in the frozen index's var bucket and is
+// returned by every probe, as the live argument index returns it.
+TEST(SnapshotTest, IndexedProbeReturnsNonGroundFacts) {
+  Database db;
+  ASSERT_TRUE(db.Consult("module fans.\n"
+                         "export fan(bf).\n"
+                         "fan(P, F) :- likes(P, F).\n"
+                         "end_module.\n"
+                         "likes(ann, tea).\n"
+                         "likes(X, pizza).\n"
+                         "likes(bob, soup).\n")
+                  .ok());
+  Session session(&db);
+  for (const std::string who : {"ann", "bob", "cy"}) {
+    const std::string query = "?- fan(" + who + ", F).";
+    auto live = db.EvalQuery(query);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    db.vm_counters()->Reset();
+    auto snap = session.EvalQuery(query);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ(SortedRows(*snap), SortedRows(*live)) << query;
+    EXPECT_EQ(snap->rows.size(), who == "cy" ? 1u : 2u) << query;
+    EXPECT_GT(db.vm_counters()->probe_index.load(), 0u) << query;
+    EXPECT_EQ(db.vm_counters()->probe_scan_fallbacks.load(), 0u) << query;
+  }
+}
+
+// Sessions racing the first probe on one fresh view each build or adopt
+// the same column set's index; every answer is still correct.
+TEST(SnapshotTest, RacingFirstProbesOnOneViewAgree) {
+  constexpr int kNodes = 80;
+  constexpr int kSessions = 4;
+  Database db;
+  ASSERT_TRUE(db.Consult(PathModule()).ok());
+  ASSERT_TRUE(db.Consult(RandomEdges(/*seed=*/29, kNodes, 110)).ok());
+  std::vector<std::vector<std::string>> expected(kNodes);
+  for (int k = 0; k < kNodes; ++k) {
+    auto result = db.EvalQuery("?- path(" + std::to_string(k) + ", X).");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    expected[k] = SortedRows(*result);
+  }
+  // Publish once: every session below shares this view, and no index on
+  // it exists yet.
+  std::shared_ptr<const ReadView> view = db.AcquireReadSnapshot();
+
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kSessions);
+  for (int t = 0; t < kSessions; ++t) {
+    threads.emplace_back([&, t] {
+      Session session(&db);
+      ready.fetch_add(1);
+      while (ready.load() < kSessions) std::this_thread::yield();
+      for (int i = 0; i < kNodes; ++i) {
+        int k = (i + t * 17) % kNodes;
+        auto result =
+            session.EvalQuery("?- path(" + std::to_string(k) + ", X).");
+        if (!result.ok() || SortedRows(*result) != expected[k]) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(db.AcquireReadSnapshot().get(), view.get());
+}
+
+// A published table (and the frozen indexes hanging off it) is freed with
+// the last view that holds it once the relation has republished.
+TEST(SnapshotTest, OldTablesAreFreedWithTheirLastView) {
+  Database db;
+  ASSERT_TRUE(db.Consult(PathModule()).ok());
+  ASSERT_TRUE(db.Consult(EdgeBatch(1, 20)).ok());
+  const Relation* edge = db.FindBaseRelation(
+      PredRef{db.factory()->symbols().Intern("edge"), 2});
+  ASSERT_NE(edge, nullptr);
+
+  Session holder(&db);
+  ASSERT_TRUE(holder.EvalQuery("?- path(1, X).").ok());  // builds an index
+  std::weak_ptr<const RelReadTable> old_table =
+      db.AcquireReadSnapshot()->tables.at(edge);
+  ASSERT_FALSE(old_table.expired());
+
+  ASSERT_TRUE(db.Consult(EdgeBatch(21, 5)).ok());
+  std::shared_ptr<const ReadView> fresh = db.AcquireReadSnapshot();
+  EXPECT_NE(fresh->tables.at(edge), old_table.lock());
+  EXPECT_FALSE(old_table.expired()) << "the holder's view still uses it";
+  holder.Refresh();
+  EXPECT_TRUE(old_table.expired());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 //
 //   coral_prof [--query='tc(X, Y)'] [--trace=FILE.jsonl]
 //              [--deadline-ms=N] [--max-inflight=N]
-//              [--plan] [--no-auto-optimize] file.crl ...
+//              [--plan] [--bytecode] [--verify]
+//              [--no-auto-optimize] [--no-vm] file.crl ...
 //
 // Consults each file with profiling enabled, executes the queries found
 // in the files (plus any --query flags, which run after all files are
@@ -37,7 +38,9 @@
 // (the server's execution model) instead of sequentially; profiles
 // aggregate across sessions.
 //
-// Exits nonzero when a file cannot be loaded or a query fails.
+// Exits 1 when a file cannot be loaded or a query fails, and 2 on an
+// unknown flag or a missing file argument (with the usage line) or an
+// unwritable trace file.
 
 #include <atomic>
 #include <fstream>
@@ -47,6 +50,16 @@
 #include <vector>
 
 #include <coral/coral.h>
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: coral_prof [--query='p(X)'] [--trace=FILE.jsonl]"
+    " [--deadline-ms=N] [--max-inflight=N]"
+    " [--plan] [--bytecode] [--verify]"
+    " [--no-auto-optimize] [--no-vm] file.crl ...\n";
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> files;
@@ -80,20 +93,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-vm") {
       use_vm = false;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: coral_prof [--query='p(X)'] [--trace=FILE.jsonl]"
-                   " [--deadline-ms=N] [--max-inflight=N]"
-                   " [--plan] [--bytecode] [--verify]"
-                   " [--no-auto-optimize] [--no-vm] file.crl ...\n";
+      std::cout << kUsage;
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "coral_prof: unknown flag " << arg << "\n" << kUsage;
+      return 2;
     } else {
       files.push_back(std::move(arg));
     }
   }
   if (files.empty()) {
-    std::cerr << "usage: coral_prof [--query='p(X)'] [--trace=FILE.jsonl]"
-                 " [--deadline-ms=N] [--max-inflight=N]"
-                 " [--plan] [--bytecode] [--verify]"
-                 " [--no-auto-optimize] [--no-vm] file.crl ...\n";
+    std::cerr << kUsage;
     return 2;
   }
 
